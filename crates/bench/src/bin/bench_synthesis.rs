@@ -3,27 +3,16 @@
 //! Times FTSS and FTQS synthesis (optimized hot paths vs the preserved
 //! straightforward baselines in `ftqs_core::oracle`) on seeded synthetic
 //! applications of 10, 20 and 40 processes, and writes median
-//! nanoseconds plus speedup factors as JSON. FTQS is measured in all
-//! three expansion modes — `ftqs` is the default checkpointed-incremental
-//! pipeline, `ftqs_rerun` the preserved per-pivot re-derivation
-//! (`ExpansionMode::Rerun`), and `ftqs_replay` the decision-replay
-//! pipeline (`ExpansionMode::Replay`) — so the mode A/B ratios are
-//! directly readable per process count. Future PRs regenerate the file on
-//! the same machine to track the performance trajectory.
+//! nanoseconds plus speedup factors as JSON. Future PRs regenerate the
+//! file on the same machine to track the performance trajectory.
 //!
-//! Schema `ftqs-bench-synthesis/5`: every FTQS row carries its `budget`
+//! Schema `ftqs-bench-synthesis/6`: every FTQS row carries its `budget`
 //! and is measured twice — once at the base budget (default 16) and once
-//! at budget 40, so the deep trees where decision replay matters are
-//! tracked alongside the shallow default. FTQS rows also report the
-//! certificate counters of the run (`estimates_certified`,
-//! `estimates_semi_replayed`, `estimates_recomputed`); they are non-zero
-//! only for `ftqs_replay`. The three expansion modes are timed
-//! interleaved (one rep of each per round, medians per mode) so host
-//! drift cannot bias the mode ratios — see the note at the measurement
-//! site. Oracle baselines are measured at the base budget only (the
-//! reference implementation is orders of magnitude slower on deep
-//! trees). Absolute numbers are not directly comparable to `/4` files,
-//! which predate certified semi-replay and interleaved mode timing.
+//! at budget 40, so deep trees are tracked alongside the shallow default.
+//! Oracle baselines are measured at the base budget only (the reference
+//! implementation is orders of magnitude slower on deep trees). The file
+//! records the host it ran on (`nproc`, `cpu_model`, `rustc`), since
+//! absolute numbers only compare within one host.
 //!
 //! Usage: `cargo run --release -p ftqs-bench --bin bench_synthesis
 //! [--out PATH] [--reps N] [--budget M] [--skip-baseline] [--smoke]`
@@ -32,12 +21,10 @@
 //! (median reported), base FTQS budget 16 (the `FtqsConfig` default).
 //! `--smoke` is the CI fast path: 1 rep, baselines skipped.
 
-use ftqs_bench::Options;
-use ftqs_core::ftqs::{ExpansionStats, FtqsConfig};
+use ftqs_bench::{cpu_model, rustc_version, Options};
+use ftqs_core::ftqs::FtqsConfig;
 use ftqs_core::oracle::{ftqs_reference, ftss_reference};
-use ftqs_core::{
-    Application, Engine, ExpansionMode, FtssConfig, ScheduleContext, SynthesisRequest,
-};
+use ftqs_core::{Application, Engine, FtssConfig, ScheduleContext, SynthesisRequest};
 use ftqs_workloads::{presets, synthetic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +54,6 @@ struct Row {
     budget: Option<usize>,
     optimized_ns: u128,
     baseline_ns: Option<u128>,
-    counters: Option<ExpansionStats>,
 }
 
 fn main() {
@@ -86,8 +72,8 @@ fn main() {
     let ftss_cfg = FtssConfig::default();
     let mut rows: Vec<Row> = Vec::new();
 
-    // The deep-budget row set exists so the trees where estimate replay
-    // matters stay tracked; collapse it when `--budget` already asks for it.
+    // The deep-budget row set keeps deep trees tracked; collapse it when
+    // `--budget` already asks for it.
     let budgets: &[usize] = if base_budget == DEEP_BUDGET {
         &[DEEP_BUDGET]
     } else {
@@ -114,7 +100,6 @@ fn main() {
             budget: None,
             optimized_ns: ftss_ns,
             baseline_ns: ftss_base,
-            counters: None,
         });
         eprintln!(
             "ftss/{size}: optimized {ftss_ns} ns{}",
@@ -128,44 +113,11 @@ fn main() {
         );
 
         for &budget in budgets {
-            let mode_reqs = [
-                ("ftqs", SynthesisRequest::ftqs(budget)),
-                (
-                    "ftqs_rerun",
-                    SynthesisRequest::ftqs(budget).with_expansion_mode(ExpansionMode::Rerun),
-                ),
-                (
-                    "ftqs_replay",
-                    SynthesisRequest::ftqs(budget).with_expansion_mode(ExpansionMode::Replay),
-                ),
-            ];
+            let ftqs_req = SynthesisRequest::ftqs(budget);
             let ftqs_cfg = FtqsConfig::with_budget(budget);
-
-            // The three expansion modes are measured *interleaved* — one
-            // rep of each per round, medians taken per mode — so slow
-            // host-load or clock-frequency drift (seconds-scale swings on
-            // shared VMs dwarf the few-percent mode deltas) hits every
-            // mode equally instead of whichever sequential block drew the
-            // bad seconds. The mode ratios are the metric these rows
-            // exist for; absolute medians stay as noisy as the host.
-            let mut samples: [Vec<u128>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for (_, req) in &mode_reqs {
-                session.synthesize(&app, req).expect("schedulable");
-            }
-            for _ in 0..reps.max(1) {
-                for (k, (_, req)) in mode_reqs.iter().enumerate() {
-                    let t0 = Instant::now();
-                    session.synthesize(&app, req).expect("schedulable");
-                    samples[k].push(t0.elapsed().as_nanos());
-                }
-            }
-            let mode_ns: Vec<u128> = samples
-                .iter_mut()
-                .map(|s| {
-                    s.sort_unstable();
-                    s[s.len() / 2]
-                })
-                .collect();
+            let ftqs_ns = median_ns(reps, || {
+                session.synthesize(&app, &ftqs_req).expect("schedulable");
+            });
             // Baselines only at the base budget: the oracle re-derives the
             // whole tree per pivot and deep budgets would take minutes.
             let ftqs_base = (!skip_baseline && budget == base_budget).then(|| {
@@ -176,47 +128,28 @@ fn main() {
                     ftqs_reference(&app, &ftqs_cfg).expect("schedulable");
                 })
             });
-
-            let ftqs_ns = mode_ns[0];
-            for (k, (algorithm, req)) in mode_reqs.iter().enumerate() {
-                let stats = session
-                    .synthesize(&app, req)
-                    .expect("schedulable")
-                    .stats
-                    .expansion;
-                rows.push(Row {
-                    algorithm,
-                    processes: size,
-                    budget: Some(budget),
-                    optimized_ns: mode_ns[k],
-                    baseline_ns: ftqs_base,
-                    counters: Some(stats),
-                });
-                eprintln!(
-                    "{algorithm}/{size}/b{budget}: optimized {} ns \
-                     (vs incremental {:.2}x; {} steps replayed, {} searched; \
-                     {} certified, {} semi-replayed, {} recomputed){}",
-                    mode_ns[k],
-                    mode_ns[k] as f64 / ftqs_ns as f64,
-                    stats.steps_replayed,
-                    stats.steps_searched,
-                    stats.estimates_certified,
-                    stats.estimates_semi_replayed,
-                    stats.estimates_recomputed,
-                    match ftqs_base {
-                        Some(b) => format!(
-                            " baseline {b} ns, speedup {:.2}x",
-                            b as f64 / mode_ns[k] as f64
-                        ),
-                        None => String::new(),
-                    }
-                );
-            }
+            rows.push(Row {
+                algorithm: "ftqs",
+                processes: size,
+                budget: Some(budget),
+                optimized_ns: ftqs_ns,
+                baseline_ns: ftqs_base,
+            });
+            eprintln!(
+                "ftqs/{size}/b{budget}: optimized {ftqs_ns} ns{}",
+                match ftqs_base {
+                    Some(b) => format!(
+                        ", baseline {b} ns, speedup {:.2}x",
+                        b as f64 / ftqs_ns as f64
+                    ),
+                    None => String::new(),
+                }
+            );
         }
     }
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/5\",");
+    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-synthesis/6\",");
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"ftqs_budget\": {base_budget},");
     let _ = writeln!(
@@ -226,9 +159,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"threads\": {},",
+        "  \"nproc\": {},",
         std::thread::available_parallelism().map_or(1, usize::from)
     );
+    let _ = writeln!(json, "  \"cpu_model\": \"{}\",", cpu_model());
+    let _ = writeln!(json, "  \"rustc\": \"{}\",", rustc_version());
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
@@ -245,14 +180,6 @@ fn main() {
                 json,
                 ", \"baseline_median_ns\": {b}, \"speedup\": {:.2}",
                 b as f64 / r.optimized_ns.max(1) as f64
-            );
-        }
-        if let Some(c) = &r.counters {
-            let _ = write!(
-                json,
-                ", \"estimates_certified\": {}, \"estimates_semi_replayed\": {}, \
-                 \"estimates_recomputed\": {}",
-                c.estimates_certified, c.estimates_semi_replayed, c.estimates_recomputed
             );
         }
         json.push('}');

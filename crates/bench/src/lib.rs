@@ -174,6 +174,43 @@ pub fn normalize(value: f64, reference: f64) -> f64 {
     }
 }
 
+/// The host's CPU model from `/proc/cpuinfo` (`"unknown"` where absent).
+/// Bench files record it because absolute timings only compare within one
+/// host. The result is safe to embed in a JSON string literal.
+#[must_use]
+pub fn cpu_model() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .map(|v| v.trim_start_matches([' ', '\t', ':']).trim().to_string());
+    json_safe(model)
+}
+
+/// The first line of `rustc -V` (`"unknown"` when rustc cannot run), safe
+/// to embed in a JSON string literal.
+#[must_use]
+pub fn rustc_version() -> String {
+    let version = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string));
+    json_safe(version)
+}
+
+/// Drops the characters a JSON string literal would need escaped.
+fn json_safe(s: Option<String>) -> String {
+    s.map(|s| {
+        s.chars()
+            .filter(|c| !c.is_control() && *c != '"' && *c != '\\')
+            .collect()
+    })
+    .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Tiny command-line option reader: `--name value` pairs and bare flags.
 #[derive(Debug, Clone)]
 pub struct Options {

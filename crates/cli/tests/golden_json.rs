@@ -74,19 +74,13 @@ fn tree_json_matches_golden() {
 #[test]
 fn tree_json_exposes_checkpoint_counters() {
     // The expansion stats are part of the public report schema: batch
-    // pipelines A/B the incremental expansion by reading these counters.
+    // pipelines read these counters to see what checkpointing saved.
     let actual = tree("--example", 4, TreeFormat::Json).unwrap();
     for field in [
         "\"expansion\"",
         "\"snapshots\"",
         "\"restores\"",
         "\"prefix_steps_saved\"",
-        "\"prefix_steps_rerun\"",
-        "\"steps_replayed\"",
-        "\"steps_searched\"",
-        "\"estimates_certified\"",
-        "\"estimates_semi_replayed\"",
-        "\"estimates_recomputed\"",
     ] {
         assert!(
             actual.contains(field),

@@ -50,6 +50,10 @@ pub enum ApplicationError {
         /// The application period.
         period: Time,
     },
+    /// The worst-case cycle length `Σ wcetᵢ + k · maxᵢ(wcetᵢ + µᵢ)` — or
+    /// one process's recovery penalty `wcetᵢ + µᵢ` — does not fit the
+    /// millisecond time range, so schedulability arithmetic would wrap.
+    TimeOverflow,
     /// Graph construction failed (cycle, duplicate edge, ...).
     Graph(GraphError),
 }
@@ -66,6 +70,11 @@ impl fmt::Display for ApplicationError {
             } => write!(
                 f,
                 "deadline {deadline} of process {process} exceeds period {period}"
+            ),
+            ApplicationError::TimeOverflow => write!(
+                f,
+                "worst-case cycle length (sum of WCETs plus k times the largest \
+                 recovery penalty) overflows the time range"
             ),
             ApplicationError::Graph(e) => write!(f, "graph error: {e}"),
         }
@@ -297,6 +306,8 @@ impl ApplicationBuilder {
     /// * [`ApplicationError::ZeroPeriod`] if the period is zero.
     /// * [`ApplicationError::DeadlineBeyondPeriod`] if a hard deadline lies
     ///   beyond the period.
+    /// * [`ApplicationError::TimeOverflow`] if the worst-case cycle length
+    ///   `Σ wcetᵢ + k · maxᵢ(wcetᵢ + µᵢ)` overflows `u64` milliseconds.
     pub fn build(self) -> Result<Application, ApplicationError> {
         if self.graph.is_empty() {
             return Err(ApplicationError::Empty);
@@ -315,11 +326,32 @@ impl ApplicationBuilder {
                 }
             }
         }
+        if self.worst_case_cycle_ms().is_none() {
+            return Err(ApplicationError::TimeOverflow);
+        }
         Ok(Application {
             graph: self.graph,
             period: self.period,
             faults: self.faults,
         })
+    }
+
+    /// `Σ wcetᵢ + k · maxᵢ(wcetᵢ + µᵢ)` in checked `u64` arithmetic: every
+    /// completion time synthesis and analysis compute is bounded by it.
+    /// `None` on overflow, including a single `wcetᵢ + µᵢ`, which
+    /// [`Application::recovery_penalty`] computes whatever `k` is.
+    fn worst_case_cycle_ms(&self) -> Option<u64> {
+        let mut total = 0u64;
+        let mut max_penalty = 0u64;
+        for n in self.graph.nodes() {
+            let p = self.graph.payload(n);
+            let wcet = p.times().wcet().as_ms();
+            let mu = p.recovery_overhead().unwrap_or(self.faults.mu).as_ms();
+            total = total.checked_add(wcet)?;
+            max_penalty = max_penalty.max(wcet.checked_add(mu)?);
+        }
+        let k = u64::try_from(self.faults.k).ok()?;
+        total.checked_add(k.checked_mul(max_penalty)?)
     }
 }
 
@@ -367,6 +399,31 @@ mod tests {
         let mut b = Application::builder(Time::ZERO, FaultModel::none());
         b.add_soft("P", et(1, 2), UtilityFunction::constant(1.0).unwrap());
         assert!(matches!(b.build(), Err(ApplicationError::ZeroPeriod)));
+    }
+
+    #[test]
+    fn overflowing_worst_case_cycle_is_rejected() {
+        let overflows =
+            |b: ApplicationBuilder| matches!(b.build(), Err(ApplicationError::TimeOverflow));
+        // k · (wcet + µ) overflows.
+        let mut b = Application::builder(t(300), FaultModel::new(usize::MAX, t(10)));
+        b.add_hard("A", et(10, 20), t(200));
+        assert!(overflows(b));
+        // wcet + µ overflows on its own.
+        let mut b = Application::builder(t(300), FaultModel::new(3, Time::MAX));
+        b.add_hard("A", et(10, 20), t(200));
+        assert!(overflows(b));
+        // Σ wcet and max(wcet + µ) fit, k times the latter does not.
+        let half = u64::MAX / 2;
+        let mut b = Application::builder(Time::MAX, FaultModel::new(2, t(half)));
+        let a = b.add_soft("A", et(10, half), UtilityFunction::constant(40.0).unwrap());
+        let h = b.add_hard("B", et(10, 20), Time::MAX);
+        b.add_dependency(a, h).unwrap();
+        assert!(overflows(b));
+        // The largest cycle that fits is accepted.
+        let mut b = Application::builder(Time::MAX, FaultModel::new(1, Time::ZERO));
+        b.add_soft("A", et(10, half), UtilityFunction::constant(1.0).unwrap());
+        assert!(b.build().is_ok(), "{half} + 1 · {half} fits in u64");
     }
 
     #[test]

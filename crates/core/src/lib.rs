@@ -32,9 +32,8 @@
 //!   snapshots the parent's context once per expanded tree node and
 //!   restores per pivot (each parallel worker holding a private
 //!   checkpoint cursor) instead of re-deriving the shared prefix for
-//!   every sub-schedule; [`ExpansionMode`] keeps the historical re-run
-//!   path available for A/B measurement and [`ExpansionStats`] reports
-//!   the snapshot/restore accounting.
+//!   every sub-schedule; [`ExpansionStats`] reports the snapshot/restore
+//!   accounting.
 //! * **f-schedules** ([`fschedule`]): fixed process orders with
 //!   re-execution allowances, analyzed against the worst distribution of
 //!   `k` faults ([`wcdelay`]).
@@ -122,7 +121,7 @@ pub use error::{Error, SchedulingError};
 pub use fschedule::{
     FSchedule, ScheduleAnalysis, ScheduleContext, ScheduleEntry, UtilityEstimator,
 };
-pub use ftqs::{ExpansionMode, ExpansionPolicy, ExpansionStats};
+pub use ftqs::{ExpansionPolicy, ExpansionStats};
 pub use ftss::FtssConfig;
 pub use process::{Criticality, ExecutionTimes, ExecutionTimesError, Process};
 pub use stale::StaleCoefficients;

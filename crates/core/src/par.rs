@@ -17,16 +17,10 @@
 //!
 //! The chunk shape is part of the contract: a worker's state sees its
 //! indices as one **contiguous ascending run** (and the serial path sees
-//! the whole range ascending). The incremental FTQS expansion relies on
-//! this — each worker advances a private committed-prefix cursor that
-//! only moves forward through the pivot positions (see `PrefixCursor` in
-//! [`crate::ftss`]) — and so does decision replay, whose workers chain
-//! worker-private decision-log cursors across their chunk (pivot `p`
-//! replays the log captured at pivot `p − 1`; replay sources never
-//! affect outputs, only how much search the guards can skip, so trees
-//! stay bit-identical at any worker count even though the replayed-step
-//! counters may differ with the chunk layout). A test below pins the
-//! guarantee.
+//! the whole range ascending). FTQS expansion relies on this: each worker
+//! advances a private committed-prefix cursor that only moves forward
+//! through the pivot positions (see `PrefixCursor` in [`crate::ftss`]). A
+//! test below pins the guarantee.
 
 use std::cell::Cell;
 

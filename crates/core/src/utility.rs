@@ -285,93 +285,6 @@ impl UtilityFunction {
         CompiledUtility::new(self)
     }
 
-    /// The maximal closed integer-millisecond interval `[lo, hi]` around
-    /// `t` on which [`UtilityFunction::value`] returns the *bit-identical*
-    /// f64 it returns at `t`, or `None` when no such flat cell exists
-    /// (`t` falls on a strictly descending linear segment).
-    ///
-    /// This is the primitive behind the decision-replay guards of
-    /// [`crate::ftss`]: a recorded scheduling decision that only consumed
-    /// utility values inside flat cells stays *exactly* valid for any time
-    /// shift that keeps every evaluation inside its cell — the replayed
-    /// comparison operates on the very same f64 inputs, so no float-error
-    /// analysis is needed to prove the skipped search equivalent.
-    ///
-    /// The cell is defined by the branch `value` actually takes, not just
-    /// by the mathematical function: a boundary time served by a different
-    /// branch (e.g. the `t <= first point` clamp of a linear shape) is
-    /// excluded even when the neighboring branch would produce an equal
-    /// value, so bit-identity holds unconditionally across the cell.
-    #[must_use]
-    pub fn flat_cell(&self, t: Time) -> Option<(Time, Time)> {
-        self.value_with_flat_cell(t).1
-    }
-
-    /// [`UtilityFunction::value`] and [`UtilityFunction::flat_cell`] fused
-    /// into one table walk — the capture hot path of the decision-replay
-    /// log uses this so recording guard windows costs a few integer ops
-    /// per evaluation instead of a second breakpoint walk. The value half
-    /// is bit-identical to `value` (same branches, same arithmetic).
-    #[must_use]
-    pub fn value_with_flat_cell(&self, t: Time) -> (f64, Option<(Time, Time)>) {
-        match &self.kind {
-            Kind::Constant(v) => (*v, Some((Time::ZERO, Time::MAX))),
-            Kind::Step { initial, steps } => {
-                let mut v = *initial;
-                let mut below = 0usize;
-                for &(bt, bv) in steps {
-                    if t > bt {
-                        v = bv;
-                        below += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let lo = if below == 0 {
-                    Time::ZERO
-                } else {
-                    steps[below - 1].0 + Time::from_ms(1)
-                };
-                let hi = steps.get(below).map_or(Time::MAX, |&(bt, _)| bt);
-                (v, Some((lo, hi)))
-            }
-            Kind::Linear { points } => {
-                let first = points[0];
-                let last = points[points.len() - 1];
-                if t <= first.0 {
-                    return (first.1, Some((Time::ZERO, first.0)));
-                }
-                if t >= last.0 {
-                    return (last.1, Some((last.0, Time::MAX)));
-                }
-                // Interior: `value` picks the first window covering `t`,
-                // so window `(t0, t1]` owns exactly `t0 < t <= t1` here
-                // (its left endpoint belongs to the previous window / the
-                // first-point clamp). Only slope-zero windows are flat,
-                // and a window ending at the last point stops one ms
-                // short of it (the `t >= last` clamp takes over there).
-                for w in points.windows(2) {
-                    let (t0, v0) = w[0];
-                    let (t1, v1) = w[1];
-                    if t >= t0 && t <= t1 {
-                        let frac = (t - t0).as_f64() / (t1 - t0).as_f64();
-                        let val = v0 + (v1 - v0) * frac;
-                        let cell = (v0 == v1).then(|| {
-                            let hi = if t1 == last.0 {
-                                t1 - Time::from_ms(1)
-                            } else {
-                                t1
-                            };
-                            (t0 + Time::from_ms(1), hi)
-                        });
-                        return (val, cell);
-                    }
-                }
-                unreachable!("points cover the interior range")
-            }
-        }
-    }
-
     /// The earliest time after which the utility is (and stays) zero, or
     /// `None` if the utility never reaches zero.
     #[must_use]
@@ -525,54 +438,6 @@ impl CompiledUtility {
     pub fn value(&self, t: Time) -> f64 {
         let t_ms = t.as_ms();
         self.eval_in_slot(self.slot_of(t_ms), t_ms)
-    }
-
-    /// Early-edge bound for order-stability certification: the value at
-    /// the shifted read time `max(0, t + shift)`, straight from the
-    /// compiled tables (no fresh breakpoint walk). With `shift ≤ 0` and
-    /// the validated non-increasing shape, this dominates every value the
-    /// same read can return under any avg-clock shift in `[shift, 0]` —
-    /// the read time only moves later within the window, and later never
-    /// pays more. See the "Decision replay" notes in [`crate::ftss`].
-    #[must_use]
-    pub fn value_at_shift(&self, t: Time, shift: i64) -> f64 {
-        let t_ms = (t.as_ms() as i128 + i128::from(shift)).clamp(0, u64::MAX as i128) as u64;
-        self.eval_in_slot(self.slot_of(t_ms), t_ms)
-    }
-
-    /// Largest increase any read of this table can see when its clock is
-    /// shifted by `shift ≤ 0`: `max over t of value_at_shift(t, shift) −
-    /// value(t)` (0 for flat tables or a non-negative shift). The
-    /// difference is piecewise linear in `t` with kinks only where `t` or
-    /// its shifted image crosses a slot boundary (or the clamp at 0), so
-    /// probing both integer sides of every kink covers the maximum; any
-    /// sub-ULP wobble of interior points around the exact line is the
-    /// caller's margin to absorb. One O(slots²) scan per certified run —
-    /// this backs the per-candidate constant-slack bound that makes
-    /// certification cheap (see the `ftss` module docs).
-    #[must_use]
-    pub(crate) fn max_rise(&self, shift: i64) -> f64 {
-        if shift >= 0 {
-            return 0.0;
-        }
-        let l = shift.unsigned_abs();
-        let mut rise = 0.0f64;
-        let mut probe = |t_ms: u64| {
-            let s_ms = t_ms.saturating_sub(l);
-            let d = self.eval_in_slot(self.slot_of(s_ms), s_ms)
-                - self.eval_in_slot(self.slot_of(t_ms), t_ms);
-            if d > rise {
-                rise = d;
-            }
-        };
-        probe(l);
-        for &b in &self.bounds {
-            probe(b);
-            probe(b.saturating_add(1));
-            probe(b.saturating_add(l));
-            probe(b.saturating_add(l).saturating_add(1));
-        }
-        rise
     }
 
     /// Fills `out[i] = value(lo + i·step)` for the whole ascending sample
@@ -749,144 +614,6 @@ mod tests {
     fn peak_is_value_at_zero() {
         let u = UtilityFunction::step(40.0, [(t(30), 25.0)]).unwrap();
         assert_eq!(u.peak(), 40.0);
-    }
-
-    /// The soundness invariant decision replay's guard windows rest on:
-    /// every time inside a returned flat cell evaluates to the
-    /// bit-identical f64, for every shape, and the fused variant agrees
-    /// with both `flat_cell` and `value`.
-    #[test]
-    fn flat_cells_are_bitwise_constant_across_their_whole_range() {
-        // Tiny LCG: the corpus must not depend on dev-dep RNG details.
-        let mut state = 0x0123_4567_89AB_CDEF_u64;
-        let mut next = move |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let mut shapes: Vec<UtilityFunction> = vec![
-            UtilityFunction::constant(7.25).unwrap(),
-            UtilityFunction::step(40.0, [(t(40), 40.0), (t(41), 20.0), (t(42), 0.0)]).unwrap(),
-            UtilityFunction::linear([(t(10), 5.0), (t(12), 5.0), (t(20), 0.0)]).unwrap(),
-        ];
-        for _ in 0..60 {
-            let n = 1 + next(4) as usize;
-            let mut bt = 0u64;
-            let mut v = 10.0 + next(90) as f64;
-            let initial = v;
-            let mut steps = Vec::new();
-            let mut points = vec![(t(0), v)];
-            for _ in 0..n {
-                bt += 1 + next(50);
-                // Equal consecutive values are legal and exercise the
-                // flat-window merging edge.
-                if next(3) > 0 {
-                    v = (v - next(20) as f64).max(0.0);
-                }
-                steps.push((t(bt), v));
-                points.push((t(bt), v));
-            }
-            shapes.push(UtilityFunction::step(initial, steps).unwrap());
-            shapes.push(UtilityFunction::linear(points).unwrap());
-        }
-        for (si, u) in shapes.iter().enumerate() {
-            for probe in 0..260u64 {
-                let at = t(probe);
-                let (v, cell) = u.value_with_flat_cell(at);
-                assert_eq!(
-                    v.to_bits(),
-                    u.value(at).to_bits(),
-                    "shape {si}: fused value diverged at {probe}"
-                );
-                assert_eq!(u.flat_cell(at), cell, "shape {si} at {probe}");
-                let Some((lo, hi)) = cell else { continue };
-                assert!(lo <= at && at <= hi, "shape {si}: cell misses {probe}");
-                let scan_hi = hi.min(at + Time::from_ms(300));
-                let mut x = lo;
-                while x <= scan_hi {
-                    assert_eq!(
-                        u.value(x).to_bits(),
-                        v.to_bits(),
-                        "shape {si}: cell [{lo:?},{hi:?}] of {probe} not flat at {x:?}"
-                    );
-                    x += Time::from_ms(1);
-                }
-            }
-        }
-    }
-
-    /// The soundness of the constant-slack certification filter: for any
-    /// negative shift, `max_rise` must dominate the pointwise rise
-    /// `value_at_shift(t, shift) − value(t)` everywhere (up to the sub-ULP
-    /// interior wobble the caller's `CERT_SLACK_MARGIN` absorbs), be zero
-    /// for non-negative shifts, and grow monotonically with `|shift|` so
-    /// cached tables built for a wider window stay safe for narrower ones.
-    #[test]
-    fn max_rise_dominates_every_pointwise_rise() {
-        let mut state = 0xFEED_FACE_CAFE_0001_u64;
-        let mut next = move |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let mut shapes: Vec<UtilityFunction> = vec![
-            UtilityFunction::constant(9.75).unwrap(),
-            UtilityFunction::step(40.0, [(t(40), 20.0), (t(200), 0.0)]).unwrap(),
-            UtilityFunction::ramp(100.0, t(50), t(150)).unwrap(),
-            // A `-0.0` tail is admitted by validation; compilation
-            // normalizes it so the rise at the tail is exactly 0.
-            UtilityFunction::step(5.0, [(t(30), -0.0)]).unwrap(),
-        ];
-        for _ in 0..40 {
-            let n = 1 + next(4) as usize;
-            let mut bt = 0u64;
-            let mut v = 10.0 + next(90) as f64 + next(1000) as f64 / 999.0;
-            let initial = v;
-            let mut steps = Vec::new();
-            let mut points = vec![(t(next(8)), v)];
-            for _ in 0..n {
-                bt += 1 + next(60);
-                if next(3) > 0 {
-                    v = (v - next(30) as f64).max(0.0);
-                }
-                steps.push((t(bt), v));
-                points.push((t(bt.max(points.last().unwrap().0.as_ms()) + 1), v));
-            }
-            let f = UtilityFunction::step(initial, steps).unwrap();
-            let g = UtilityFunction::linear(points).unwrap();
-            if next(2) == 0 {
-                let off = t(1 + next(40));
-                shapes.push(f.shifted(off));
-                shapes.push(g.shifted(off));
-            } else {
-                shapes.push(f);
-                shapes.push(g);
-            }
-        }
-        for (si, u) in shapes.iter().enumerate() {
-            let c = u.compiled();
-            assert_eq!(c.max_rise(0), 0.0, "shape {si}: zero shift");
-            assert_eq!(c.max_rise(17), 0.0, "shape {si}: positive shift");
-            let mut prev = 0.0f64;
-            for shift in [-1i64, -7, -33, -64, -250] {
-                let mr = c.max_rise(shift);
-                assert!(
-                    mr >= prev,
-                    "shape {si}: max_rise must grow with |shift| ({mr} < {prev} at {shift})"
-                );
-                prev = mr;
-                let budget = mr * (1.0 + 1e-9) + 1e-12;
-                for probe in 0..400u64 {
-                    let rise = c.value_at_shift(t(probe), shift) - c.value(t(probe));
-                    assert!(
-                        rise <= budget,
-                        "shape {si} shift {shift} t {probe}: rise {rise} > max_rise {mr}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
