@@ -1,5 +1,5 @@
 //! Fleet-service throughput and degraded-mode behavior: what does the
-//! cross-request artifact cache buy on batched synthesis, and what does
+//! cross-request outcome cache buy on batched synthesis, and what does
 //! sustained fault injection cost? Writes `BENCH_service.json`.
 //!
 //! Queues batches of fig9-style preset requests (1k–100k, per
@@ -7,8 +7,8 @@
 //!
 //! * **duplicate-heavy** — requests cycle over a small pool of distinct
 //!   applications (64 by default), the fleet-sweep shape where the same
-//!   model is synthesized under many arrival orders; nearly every request
-//!   hits the artifact cache and skips generation + model preparation;
+//!   model is requested under many arrival orders; nearly every request
+//!   hits the outcome cache and runs no synthesis at all;
 //! * **all-distinct** — every request names a fresh seed, so every
 //!   request pays the full cold path and the cache can only miss.
 //!
@@ -23,11 +23,14 @@
 //! operation costs in throughput next to the calm rows.
 //!
 //! Per cell the harness reports wall-clock requests/sec, p50/p99
-//! end-to-end latency (queue wait + service time), cache counters, and
-//! the robustness counters (rejected submissions, panics, respawns,
-//! deadline misses). Synthesis runs for every request either way — the
-//! cache never changes output bits (pinned by the service test suite),
-//! only the time to produce them.
+//! end-to-end latency (queue wait + service time), the mean service time
+//! of a cache hit and of every other response, cache counters, and the
+//! robustness counters (rejected submissions, panics, respawns, deadline
+//! misses). A hit returns the stored outcome of the synthesis that
+//! missed — the cache never changes output bits (pinned by the service
+//! test suite), only the time to produce them. The file records the host
+//! (`nproc`, `cpu_model`, `rustc`), since absolute rates only compare
+//! within one host.
 //!
 //! The headline acceptance is asserted when the 10k depth is swept: the
 //! duplicate-heavy mix must show a hit rate ≥ 50% and beat the
@@ -41,7 +44,7 @@
 //! degraded cell included) and asserts the duplicate-heavy cache path is
 //! exercised (nonzero hits).
 
-use ftqs_bench::{print_row, Options};
+use ftqs_bench::{cpu_model, print_row, rustc_version, Options};
 use ftqs_core::{Engine, SynthesisRequest};
 use ftqs_service::{
     ChaosPolicy, JobSource, Service, ServiceConfig, ServiceError, ServiceRequest, ServiceStats,
@@ -84,6 +87,11 @@ struct Cell {
     worker_panics: u64,
     deadline_exceeded: u64,
     stats: ServiceStats,
+}
+
+/// `total / count`, 0 when nothing was counted.
+fn mean(total: u64, count: u64) -> f64 {
+    total as f64 / count.max(1) as f64
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -401,7 +409,7 @@ fn main() {
 
     let workers = cells.first().map_or(0, |c| c.stats.workers);
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-service/2\",");
+    let _ = writeln!(json, "  \"schema\": \"ftqs-bench-service/3\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"family\": \"fig9\",");
     let _ = writeln!(json, "  \"size\": {size},");
@@ -409,6 +417,13 @@ fn main() {
     let _ = writeln!(json, "  \"budget\": {budget},");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"workers\": {workers},");
+    let _ = writeln!(
+        json,
+        "  \"nproc\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    let _ = writeln!(json, "  \"cpu_model\": \"{}\",", cpu_model());
+    let _ = writeln!(json, "  \"rustc\": \"{}\",", rustc_version());
     let _ = writeln!(json, "  \"queue_capacity\": {QUEUE_CAPACITY},");
     let _ = writeln!(json, "  \"cache_capacity\": {CACHE_CAPACITY},");
     let _ = writeln!(json, "  \"response_capacity\": {RESPONSE_CAPACITY},");
@@ -437,6 +452,7 @@ fn main() {
             "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"requests\": {}, \"distinct\": {}, \
              \"seconds\": {:.3}, \"requests_per_sec\": {:.1}, \
              \"p50_micros\": {}, \"p99_micros\": {}, \
+             \"hit_service_micros_mean\": {:.1}, \"miss_service_micros_mean\": {:.1}, \
              \"cache_hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, \
              \"evictions\": {}, \"failed\": {}, \"rejected\": {}, \
              \"panics\": {}, \"respawns\": {}, \"deadline_misses\": {}, \
@@ -449,6 +465,11 @@ fn main() {
             c.requests_per_sec,
             c.p50_micros,
             c.p99_micros,
+            mean(c.stats.hit_service_micros, c.stats.cache.hits),
+            mean(
+                c.stats.miss_service_micros,
+                c.stats.completed - c.stats.cache.hits
+            ),
             c.stats.cache.hit_rate(),
             c.stats.cache.hits,
             c.stats.cache.misses,

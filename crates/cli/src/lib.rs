@@ -94,7 +94,8 @@ pub const USAGE: &str =
              --responses N (1024; bound of the response ring — a slow
              consumer throttles the workers instead of growing memory),
              --stats (append a final service-statistics line: completed,
-             rejected, worker panics/respawns, deadline misses, cache)
+             rejected, worker panics/respawns, deadline misses, service
+             time of cache hits and misses, cache counters)
              Workers are supervised: a panicking job answers as an error
              response, a dead worker thread is respawned, and overload
              surfaces as backpressure — the batch always completes.";
@@ -767,7 +768,7 @@ pub fn trace_average(source: &str, budget: usize) -> Result<String, CliError> {
 /// `ftqs submit <family>` — renders an NDJSON request batch for [`serve`]
 /// (or any transport consumer). Seeds cycle through `distinct` values
 /// starting at `seed`, so `distinct < count` produces the duplicate-heavy
-/// mixes that exercise the service's artifact cache. `priority` and
+/// mixes that exercise the service's outcome cache. `priority` and
 /// `deadline_ms` (both optional) stamp every request with the service's
 /// scheduling knobs: interactive requests overtake queued bulk ones, and
 /// a request still queued past its deadline answers `deadline exceeded`

@@ -1,6 +1,6 @@
 //! Canonical content digests of synthesis inputs and outputs.
 //!
-//! The fleet service (`ftqs-service`) keys its cross-request artifact
+//! The fleet service (`ftqs-service`) keys its cross-request outcome
 //! cache on *what an application is*, not on where the request came
 //! from: two requests carrying structurally identical applications must
 //! map to the same cache entry in every run of every process. Rust's
@@ -21,8 +21,8 @@
 //! * [`tree_digest`] — the full content of a synthesized
 //!   [`QuasiStaticTree`]: every schedule (entries, allowances, static
 //!   drops, context) and every node (parent, depth, switch arcs). The
-//!   cache-correctness tests pin cached-artifact synthesis to cold
-//!   synthesis through this digest.
+//!   cache-correctness tests pin cached outcomes to cold synthesis
+//!   through this digest.
 //! * [`Engine::config_digest`](crate::Engine::config_digest) and
 //!   [`SynthesisRequest::knob_digest`](crate::SynthesisRequest::knob_digest)
 //!   (defined with their types) — the request-knob half of the service's

@@ -319,6 +319,13 @@ impl SynthesisRequest {
         self
     }
 
+    /// The process-count limit set by
+    /// [`SynthesisRequest::with_max_processes`], if any.
+    #[must_use]
+    pub fn max_processes(&self) -> Option<usize> {
+        self.max_processes
+    }
+
     /// Caps the worker threads the parallel synthesis layers may use for
     /// this request (`1` forces fully serial execution). Results are
     /// bit-identical at any setting; this only trades latency for CPU.
@@ -333,7 +340,9 @@ impl SynthesisRequest {
     /// the per-request overrides. `max_processes` and `max_parallelism`
     /// are deliberately excluded — the former only gates acceptance and
     /// the latter is bit-identical at any setting — so requests differing
-    /// only in those limits share a cache key.
+    /// only in those limits share a digest. A cache of *outcomes* must
+    /// add the process limit to its key itself, since it decides between
+    /// a report and a rejection (the fleet service does).
     #[must_use]
     pub fn knob_digest(&self) -> ContentDigest {
         let mut h = Hasher::new();
@@ -360,10 +369,9 @@ impl SynthesisRequest {
 /// needs, built once and shared read-only by any number of sessions.
 ///
 /// This is the cacheable synthesis artifact handle. A `PreparedApp` is
-/// immutable, `Send + Sync`, and cheap to share behind an [`Arc`]; the
-/// fleet service keeps them in its cross-request cache keyed by
-/// [`PreparedApp::digest`] combined with [`Engine::config_digest`] /
-/// [`SynthesisRequest::knob_digest`]. [`Session::synthesize_prepared`]
+/// immutable, `Send + Sync`, and cheap to share behind an [`Arc`] by
+/// callers that synthesize one application many times (several
+/// policies, budgets or engine settings). [`Session::synthesize_prepared`]
 /// runs against one without re-deriving any per-application table, and
 /// its output is pinned bit-identical to [`Session::synthesize`] on the
 /// same application.

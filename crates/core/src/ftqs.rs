@@ -195,9 +195,9 @@ pub(crate) fn ftqs_with(
 }
 
 /// [`ftqs_with`] over caller-provided shared artifacts: the dense model
-/// tables and compiled utility tables are *not* rebuilt here, so a cache
-/// holding them (the fleet service's [`crate::PreparedApp`])
-/// amortizes both across every request for the same application. Output is
+/// tables and compiled utility tables are *not* rebuilt here, so a caller
+/// holding them ([`crate::PreparedApp`]) amortizes both across every
+/// synthesis of the same application. Output is
 /// bit-identical to [`ftqs_with`] — the artifacts are pure functions of
 /// the application.
 pub(crate) fn ftqs_prepared(

@@ -143,10 +143,9 @@ impl Default for FtssConfig {
 ///
 /// The model *owns* its data — the application behind an `Arc`, the
 /// utility functions cloned once at build — so it carries no lifetime and
-/// can live in long-lived caches: the fleet service's artifact cache
-/// stores one model per distinct application
-/// ([`crate::PreparedApp`]) and shares it read-only across
-/// worker threads and requests ([`AppModel::build_shared`] skips even the
+/// can live in long-lived handles: a [`crate::PreparedApp`] stores one
+/// model per application and shares it read-only across worker threads
+/// and synthesis calls ([`AppModel::build_shared`] skips even the
 /// application clone for that path).
 #[derive(Debug)]
 pub(crate) struct AppModel {

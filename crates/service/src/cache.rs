@@ -1,40 +1,45 @@
-//! The cross-request artifact cache.
+//! The cross-request outcome cache.
 //!
 //! Maps a [`ContentDigest`] cache key (application content combined with
-//! the engine/request knob digests — see [`crate::Service`]) to an
-//! [`Arc<PreparedApp>`]: the owned model tables and compiled utilities a
-//! synthesis run needs. Entries are immutable and shared read-only, so a
-//! hit costs one lock acquisition and one `Arc` clone; the synthesis
-//! itself runs outside the lock.
+//! the engine/request knob digests — see [`crate::Service`]) to the
+//! *outcome* of computing it: for the service, the synthesis report or
+//! the error a cold run produced. Synthesis is a deterministic function
+//! of that key, so a hit clones the stored outcome and runs nothing.
+//!
+//! The cache is **single-flight**: each entry is an
+//! `Arc<OnceLock<V>>` slot, inserted empty under the lock and filled
+//! outside it by [`ArtifactCache::get_or_init`]. Concurrent lookups of a
+//! key that is still being computed wait on the one computation instead
+//! of each running their own, so a key is computed once per residency
+//! however many requests race for it. A computation that panics leaves
+//! its slot empty (the panic propagates to the caller); the next lookup
+//! of that key computes again and counts as a miss.
 //!
 //! Eviction is least-recently-used over a capacity bound. The map is
-//! small (hundreds of entries, each a few hundred KB at most), so LRU is
-//! tracked with a monotonic use-stamp per entry and eviction scans for
-//! the minimum — O(capacity), which at these sizes is cheaper and
-//! simpler than an intrusive list, and never wrong.
-//!
-//! Builds happen *outside* the lock: two workers missing on the same key
-//! concurrently will both build and both insert (last write wins — the
-//! artifacts are bit-identical by construction, so which `Arc` survives
-//! is unobservable). Both misses are counted; the duplicate build is the
-//! accepted cost of not serializing every cold synthesis behind a build
-//! lock.
+//! small (hundreds of entries, a few KB each), so LRU is tracked with a
+//! monotonic use-stamp per entry and eviction scans for the minimum —
+//! O(capacity), which at these sizes is cheaper and simpler than an
+//! intrusive list, and never wrong. Evicting a slot that is still being
+//! filled is harmless: the computing caller holds its own `Arc` of the
+//! slot and still gets its value.
 
-use ftqs_core::{ContentDigest, PreparedApp};
+use ftqs_core::ContentDigest;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Counters and occupancy of an [`ArtifactCache`], as one coherent
-/// snapshot.
+/// Counters and occupancy of an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
-    /// Lookups that found a prepared artifact.
+    /// Lookups answered from a stored outcome, without computing.
     pub hits: u64,
-    /// Lookups that found nothing (each implies one artifact build).
+    /// Lookups that ran the computation (each one computed the value,
+    /// including computations that panicked).
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
-    /// Live entries at snapshot time.
+    /// Live entries at snapshot time (including slots still being
+    /// filled).
     pub entries: usize,
     /// The capacity bound.
     pub capacity: usize,
@@ -53,28 +58,28 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct Entry {
-    value: Arc<PreparedApp>,
+struct Entry<V> {
+    slot: Arc<OnceLock<V>>,
     last_used: u64,
 }
 
 #[derive(Debug)]
-struct Inner {
-    map: HashMap<ContentDigest, Entry>,
+struct Inner<V> {
+    map: HashMap<ContentDigest, Entry<V>>,
     tick: u64,
-    hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
-/// Bounded, thread-safe LRU cache of prepared synthesis artifacts.
+/// Bounded, thread-safe, single-flight LRU cache of computed values.
 #[derive(Debug)]
-pub struct ArtifactCache {
-    inner: Mutex<Inner>,
+pub struct ArtifactCache<V> {
+    inner: Mutex<Inner<V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     capacity: usize,
 }
 
-impl ArtifactCache {
+impl<V: Clone> ArtifactCache<V> {
     /// An empty cache bounded to `capacity` entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -83,51 +88,34 @@ impl ArtifactCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 tick: 0,
-                hits: 0,
-                misses: 0,
                 evictions: 0,
             }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             capacity,
         }
     }
 
-    /// Locks the cache state, recovering from poisoning: no method can
-    /// panic while the map is half-mutated (the entry type has no
-    /// panicking paths between mutations), so the state behind a
-    /// poisoned lock is still coherent — a panicking worker thread must
-    /// never wedge the rest of the fleet out of the cache.
-    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+    /// Locks the cache state, recovering from poisoning: nothing panics
+    /// while the map is half-mutated (computations run outside the lock),
+    /// so the state behind a poisoned lock is still coherent — a
+    /// panicking worker thread must never wedge the rest of the fleet out
+    /// of the cache.
+    fn lock_inner(&self) -> MutexGuard<'_, Inner<V>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks `key` up, counting a hit or a miss and refreshing recency.
-    #[must_use]
-    pub fn get(&self, key: ContentDigest) -> Option<Arc<PreparedApp>> {
+    /// The slot of `key`, refreshing its recency, or a fresh empty slot
+    /// (evicting the least-recently-used entry when the bound is hit).
+    fn slot(&self, key: ContentDigest) -> Arc<OnceLock<V>> {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = Arc::clone(&entry.value);
-                inner.hits += 1;
-                Some(value)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        if let Some(entry) = inner.map.get_mut(&key) {
+            entry.last_used = tick;
+            return Arc::clone(&entry.slot);
         }
-    }
-
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when the capacity bound is hit. Re-inserting an existing key
-    /// replaces its value without counting an eviction.
-    pub fn insert(&self, key: ContentDigest, value: Arc<PreparedApp>) {
-        let mut inner = self.lock_inner();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
+        if inner.map.len() >= self.capacity {
             let lru = inner
                 .map
                 .iter()
@@ -137,22 +125,45 @@ impl ArtifactCache {
             inner.map.remove(&lru);
             inner.evictions += 1;
         }
+        let slot = Arc::new(OnceLock::new());
         inner.map.insert(
             key,
             Entry {
-                value,
+                slot: Arc::clone(&slot),
                 last_used: tick,
             },
         );
+        slot
     }
 
-    /// A coherent snapshot of the counters and occupancy.
+    /// The value stored under `key`, computing it with `init` when there
+    /// is none; `true` alongside means it came from the cache. A caller
+    /// that finds the key being computed by another waits for that
+    /// computation. If `init` panics, the panic propagates and the key
+    /// stays uncomputed.
+    pub fn get_or_init(&self, key: ContentDigest, init: impl FnOnce() -> V) -> (V, bool) {
+        let slot = self.slot(key);
+        let mut computed = false;
+        let value = slot
+            .get_or_init(|| {
+                computed = true;
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                init()
+            })
+            .clone();
+        if !computed {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        (value, !computed)
+    }
+
+    /// A snapshot of the counters and occupancy.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock_inner();
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
             evictions: inner.evictions,
             entries: inner.map.len(),
             capacity: self.capacity,
@@ -163,82 +174,85 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftqs_core::{
-        application_digest, Application, ExecutionTimes, FaultModel, Time, UtilityFunction,
-    };
+    use ftqs_core::digest::Hasher;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
 
-    fn app(period_ms: u64) -> Application {
-        let mut b = Application::builder(
-            Time::from_ms(period_ms),
-            FaultModel::new(1, Time::from_ms(10)),
-        );
-        let p1 = b.add_hard(
-            "P1",
-            ExecutionTimes::uniform(Time::from_ms(30), Time::from_ms(70)).unwrap(),
-            Time::from_ms(180),
-        );
-        let p2 = b.add_soft(
-            "P2",
-            ExecutionTimes::uniform(Time::from_ms(30), Time::from_ms(70)).unwrap(),
-            UtilityFunction::step(40.0, [(Time::from_ms(90), 20.0)]).unwrap(),
-        );
-        b.add_dependency(p1, p2).unwrap();
-        b.build().unwrap()
-    }
-
-    fn prepared(period_ms: u64) -> (ContentDigest, Arc<PreparedApp>) {
-        let a = app(period_ms);
-        (application_digest(&a), Arc::new(PreparedApp::new(&a)))
+    fn key(n: u64) -> ContentDigest {
+        let mut h = Hasher::new();
+        h.write_u64(n);
+        h.finish()
     }
 
     #[test]
     fn hit_miss_and_eviction_counters() {
         let cache = ArtifactCache::new(2);
-        let (k1, v1) = prepared(300);
-        let (k2, v2) = prepared(400);
-        let (k3, v3) = prepared(500);
-
-        assert!(cache.get(k1).is_none());
-        cache.insert(k1, v1);
-        assert!(cache.get(k1).is_some());
-        cache.insert(k2, v2);
+        assert_eq!(cache.get_or_init(key(1), || 10), (10, false));
+        assert_eq!(cache.get_or_init(key(1), || unreachable!()), (10, true));
+        assert_eq!(cache.get_or_init(key(2), || 20), (20, false));
         // k1 was last touched before k2's insertion, so the third insert
         // displaces k1.
-        cache.insert(k3, v3);
-        assert!(cache.get(k1).is_none(), "LRU entry evicted");
-        assert!(cache.get(k2).is_some());
-        assert!(cache.get(k3).is_some());
+        assert_eq!(cache.get_or_init(key(3), || 30), (30, false));
+        assert_eq!(cache.get_or_init(key(1), || 11), (11, false), "LRU evicted");
+        assert_eq!(cache.get_or_init(key(3), || unreachable!()), (30, true));
 
         let stats = cache.stats();
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.evictions, 2);
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.capacity, 2);
-        assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
+        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn reinserting_a_key_is_not_an_eviction() {
-        let cache = ArtifactCache::new(1);
-        let (k1, v1) = prepared(300);
-        cache.insert(k1, Arc::clone(&v1));
-        cache.insert(k1, v1);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn recency_is_refreshed_by_get() {
+    fn recency_is_refreshed_by_a_hit() {
         let cache = ArtifactCache::new(2);
-        let (k1, v1) = prepared(300);
-        let (k2, v2) = prepared(400);
-        let (k3, v3) = prepared(500);
-        cache.insert(k1, v1);
-        cache.insert(k2, v2);
-        assert!(cache.get(k1).is_some()); // refresh k1: k2 is now LRU
-        cache.insert(k3, v3);
-        assert!(cache.get(k1).is_some());
-        assert!(cache.get(k2).is_none(), "k2 was the LRU entry");
+        cache.get_or_init(key(1), || 1);
+        cache.get_or_init(key(2), || 2);
+        assert!(cache.get_or_init(key(1), || 0).1); // refresh k1: k2 is LRU
+        cache.get_or_init(key(3), || 3);
+        assert!(cache.get_or_init(key(1), || 0).1);
+        assert!(!cache.get_or_init(key(2), || 2).1, "k2 was the LRU entry");
+    }
+
+    #[test]
+    fn a_panicking_computation_leaves_the_key_recomputable() {
+        let cache = ArtifactCache::new(4);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_init(key(7), || -> u32 { panic!("computation failed") })
+        }));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        assert_eq!(cache.get_or_init(key(7), || 70), (70, false));
+        assert_eq!(cache.get_or_init(key(7), || unreachable!()), (70, true));
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 2, "the panicked run and the recomputation");
+        assert_eq!(stats.hits, 1);
+    }
+
+    #[test]
+    fn concurrent_lookups_of_one_key_compute_once() {
+        let cache = ArtifactCache::new(4);
+        let runs = AtomicU64::new(0);
+        let barrier = Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    barrier.wait();
+                    // The sleep only widens the overlap, so that a cache
+                    // without single-flight would compute more than once;
+                    // the assertions hold under any interleaving.
+                    let (v, _) = cache.get_or_init(key(1), || {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        42u32
+                    });
+                    assert_eq!(v, 42);
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 7));
     }
 }

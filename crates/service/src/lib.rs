@@ -3,15 +3,16 @@
 //! Everything below `crates/cli` synthesizes one application per process
 //! invocation. A synthesis *fleet* — sweeping thousands of generated
 //! applications, or serving synthesis requests for a family of related
-//! configurations — pays the fixed costs over and over: application
-//! generation or spec parsing, and the per-application model derivation
-//! ([`AppModel`](ftqs_core::ftss) tables, compiled utilities) that every
-//! run needs before the actual scheduling starts. This crate is the
-//! long-lived server shape for that workload, std-only (no async
-//! runtime — synthesis is CPU-bound, so threads *are* the right
-//! concurrency primitive offline), built to the same fault-tolerance
-//! contract the paper demands of the scheduled platform: faults beyond
-//! the design assumptions degrade service, they never collapse it.
+//! configurations — sees the same request again and again. In the paper
+//! synthesis happens off-line, and it is a deterministic function of the
+//! application, the engine configuration and the request knobs, so a
+//! repeated request has nothing left to compute: its answer is the one
+//! already given. This crate is the long-lived server shape for that
+//! workload, std-only (no async runtime — synthesis is CPU-bound, so
+//! threads *are* the right concurrency primitive offline), built to the
+//! same fault-tolerance contract the paper demands of the scheduled
+//! platform: faults beyond the design assumptions degrade service, they
+//! never collapse it.
 //!
 //! ```text
 //!  submit / NDJSON lines
@@ -24,8 +25,10 @@
 //!    poison-immune locks)         │        │           │ thread death
 //!                                 │        │      supervisor thread
 //!                                 │        ▼
-//!                                 │  artifact cache ── ContentDigest key:
-//!                                 │  (LRU, Arc-shared) app ⊕ engine ⊕ knobs
+//!                                 │  outcome cache ─── ContentDigest key:
+//!                                 │  (LRU, single-     app ⊕ engine ⊕ knobs
+//!                                 │   flight; a miss   ⊕ process limit
+//!                                 │   synthesizes)
 //!                                 │        │
 //!                                 ▼        ▼
 //!                     bounded response ring (completion order;
@@ -52,15 +55,19 @@
 //!   respawns the worker — [`ServiceStats::panics`] and
 //!   [`ServiceStats::respawns`] count both events, and the queue's locks
 //!   recover from poisoning so one bad job can never wedge the fleet.
-//! * The **artifact cache** ([`cache`]) shares [`PreparedApp`]s — the
-//!   owned model tables and compiled utilities behind an [`Arc`] —
-//!   across workers, keyed by a canonical [`ContentDigest`] of the job
-//!   source combined with [`Engine::config_digest`] and
-//!   [`SynthesisRequest::knob_digest`]. A hit skips application
-//!   generation/parsing *and* model derivation; the synthesis itself
-//!   always runs, so a cached response is bit-identical to a cold one
-//!   (the cache-correctness tests pin this through
-//!   [`ftqs_core::tree_digest`]).
+//! * The **outcome cache** ([`cache`]) stores what each request
+//!   produced — the [`SynthesisReport`] or the error — keyed by a
+//!   canonical [`ContentDigest`] of the job source combined with
+//!   [`Engine::config_digest`], [`SynthesisRequest::knob_digest`] and the
+//!   request's process limit. A hit clones the stored outcome into the
+//!   response and runs no generation, parsing or synthesis, so a hit
+//!   response is bit-identical to a cold one (the cache-correctness
+//!   tests pin this through [`ftqs_core::tree_digest`]); unschedulable
+//!   applications answer their stored error. The cache is single-flight:
+//!   concurrent requests for one key wait for the one synthesis. Worker
+//!   panics and expired deadlines never reach it. A hit's
+//!   `report.timing` is the timing of the synthesis that produced it;
+//!   the response's `service_micros` is the request's own cost.
 //! * **Responses** stream in completion order through a *bounded* ring,
 //!   tagged with the request id and per-request queueing/service
 //!   timings: when the consumer falls behind, workers block on the full
@@ -295,11 +302,14 @@ pub struct ServiceResponse {
     pub id: u64,
     /// The report, or why there is none.
     pub outcome: Result<SynthesisReport, ServiceError>,
-    /// Whether the prepared artifact came from the cache.
+    /// Whether the outcome came from the cache; this request ran no
+    /// synthesis. A cached report's `timing` is that of the synthesis
+    /// that produced it.
     pub cache_hit: bool,
     /// Time spent waiting in the queue, in microseconds.
     pub queued_micros: u64,
-    /// Time spent resolving + synthesizing, in microseconds.
+    /// This request's own service time in microseconds: the cache
+    /// lookup, plus resolving and synthesizing on a miss.
     pub service_micros: u64,
     /// Whether the request's deadline (if any) had passed by the time
     /// this response was produced. `true` both for
@@ -343,7 +353,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bound of the work queue (requests awaiting a worker).
     pub queue_capacity: usize,
-    /// Bound of the artifact cache (prepared applications).
+    /// Bound of the outcome cache (stored synthesis outcomes).
     pub cache_capacity: usize,
     /// Bound of the response ring (completed responses awaiting the
     /// consumer). Workers block on a full ring, so a slow consumer
@@ -413,9 +423,13 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Sum of per-request queue-wait times, in microseconds.
     pub total_queued_micros: u64,
-    /// Sum of per-request service times, in microseconds.
-    pub total_service_micros: u64,
-    /// Artifact-cache counters.
+    /// Sum of the service times of responses served from the cache, in
+    /// microseconds.
+    pub hit_service_micros: u64,
+    /// Sum of the service times of every other response (misses, worker
+    /// panics, expired deadlines), in microseconds.
+    pub miss_service_micros: u64,
+    /// Outcome-cache counters.
     pub cache: CacheStats,
 }
 
@@ -431,7 +445,8 @@ pub(crate) struct Counters {
     peak_depth: AtomicUsize,
     response_peak_depth: AtomicUsize,
     queued_micros: AtomicU64,
-    service_micros: AtomicU64,
+    hit_service_micros: AtomicU64,
+    miss_service_micros: AtomicU64,
 }
 
 impl Counters {
@@ -453,7 +468,7 @@ pub(crate) struct Job {
 pub(crate) struct WorkerContext {
     pub(crate) queue: Queue<Job>,
     pub(crate) responses: Queue<ServiceResponse>,
-    pub(crate) cache: ArtifactCache,
+    pub(crate) cache: ArtifactCache<Outcome>,
     pub(crate) counters: Counters,
     engine: Engine,
     intra_parallelism: usize,
@@ -461,7 +476,7 @@ pub(crate) struct WorkerContext {
 }
 
 /// The running fleet service: a bounded two-lane queue, a supervised
-/// worker pool, the shared artifact cache, and a bounded response ring.
+/// worker pool, the shared outcome cache, and a bounded response ring.
 /// See the crate docs for the architecture.
 ///
 /// Dropping the service closes the queue, drains in-flight work, and
@@ -630,7 +645,8 @@ impl Service {
             response_capacity: self.ctx.responses.capacity(),
             workers: self.workers,
             total_queued_micros: c.queued_micros.load(Ordering::Relaxed),
-            total_service_micros: c.service_micros.load(Ordering::Relaxed),
+            hit_service_micros: c.hit_service_micros.load(Ordering::Relaxed),
+            miss_service_micros: c.miss_service_micros.load(Ordering::Relaxed),
             cache: self.ctx.cache.stats(),
         }
     }
@@ -643,11 +659,14 @@ impl Service {
     /// consumer can close the intake out from under blocked producers.
     /// Follow with [`Service::shutdown`] (or drop) to join the workers.
     pub fn close(&self) {
-        // Lift the response ring's bound first: workers blocked on a full
-        // ring must drain out, and the backlog is bounded by the work
-        // outstanding right now (≤ queue + workers in flight).
-        self.ctx.responses.lift_capacity();
+        // Close the intake first, then lift the response ring's bound:
+        // workers blocked on a full ring must drain out, and with the
+        // intake closed the backlog is bounded by the work outstanding
+        // right now (≤ queue + workers in flight). The other order lets a
+        // worker released by the lift free a queue slot that a parked
+        // submitter takes before the close.
         self.ctx.queue.close();
+        self.ctx.responses.lift_capacity();
     }
 
     /// Stops accepting work, drains the queue, joins the workers (via the
@@ -702,8 +721,12 @@ pub(crate) fn deliver(ctx: &WorkerContext, response: ServiceResponse) {
     }
     c.queued_micros
         .fetch_add(response.queued_micros, Ordering::Relaxed);
-    c.service_micros
-        .fetch_add(response.service_micros, Ordering::Relaxed);
+    let service_micros = if response.cache_hit {
+        &c.hit_service_micros
+    } else {
+        &c.miss_service_micros
+    };
+    service_micros.fetch_add(response.service_micros, Ordering::Relaxed);
     // A Closed error means the ring was torn down with the response
     // undeliverable (the consumer is gone); nothing left to do with it.
     if let Ok(depth) = ctx.responses.push(response, Lane::Normal) {
@@ -711,40 +734,40 @@ pub(crate) fn deliver(ctx: &WorkerContext, response: ServiceResponse) {
     }
 }
 
-/// Resolves the job's application (through the artifact cache) and runs
-/// the synthesis. Pure with respect to service state except the cache.
+/// The outcome of one executed request, as the cache stores it.
+type Outcome = Result<SynthesisReport, ServiceError>;
+
+/// Answers the request from the outcome cache, resolving the application
+/// and synthesizing it only on a miss. The key is the job source, the
+/// engine configuration, the request knobs and the request's process
+/// limit: the limit does not change a report, but it decides between a
+/// report and a rejection, so it must not share an outcome.
 fn execute(
     session: &mut Session,
     ctx: &WorkerContext,
     config_digest: ContentDigest,
     source: &JobSource,
     request: &SynthesisRequest,
-) -> (Result<SynthesisReport, ServiceError>, bool) {
+) -> (Outcome, bool) {
+    let mut limit = Hasher::new();
+    match request.max_processes() {
+        None => limit.write_u8(0),
+        Some(max) => {
+            limit.write_u8(1);
+            limit.write_usize(max);
+        }
+    }
     let key = source
         .digest()
         .combine(config_digest)
-        .combine(request.knob_digest());
-    match ctx.cache.get(key) {
-        Some(prepared) => (
-            session
-                .synthesize_prepared(&prepared, request)
-                .map_err(ServiceError::Synthesis),
-            true,
-        ),
-        None => match source.resolve() {
-            Ok(app) => {
-                let prepared = Arc::new(PreparedApp::from_arc(app));
-                ctx.cache.insert(key, Arc::clone(&prepared));
-                (
-                    session
-                        .synthesize_prepared(&prepared, request)
-                        .map_err(ServiceError::Synthesis),
-                    false,
-                )
-            }
-            Err(e) => (Err(e), false),
-        },
-    }
+        .combine(request.knob_digest())
+        .combine(limit.finish());
+    ctx.cache.get_or_init(key, || {
+        let prepared = PreparedApp::from_arc(source.resolve()?);
+        session
+            .synthesize_prepared(&prepared, request)
+            .map_err(ServiceError::Synthesis)
+    })
 }
 
 pub(crate) fn worker_loop(ctx: &Arc<WorkerContext>, guard: &mut WorkerGuard) {

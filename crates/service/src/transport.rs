@@ -56,11 +56,14 @@ pub struct WireResponse {
     pub ok: bool,
     /// Why not, when `ok` is false.
     pub error: Option<String>,
-    /// Whether the prepared artifact came from the cache.
+    /// Whether the outcome came from the cache; this request ran no
+    /// synthesis. A cached report's `timing` is that of the synthesis
+    /// that produced it.
     pub cache_hit: bool,
     /// Queue-wait time in microseconds.
     pub queued_micros: u64,
-    /// Resolve + synthesis time in microseconds.
+    /// This request's own service time in microseconds: the cache
+    /// lookup, plus resolve + synthesis on a miss.
     pub service_micros: u64,
     /// Whether the request's deadline (if any) had passed by the time
     /// the response was produced.

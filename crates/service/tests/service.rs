@@ -526,3 +526,91 @@ fn duplicate_heavy_stream_reports_a_high_hit_rate() {
     assert_eq!(stats.cache.misses, 4);
     assert!(stats.cache.hit_rate() > 0.8);
 }
+
+#[test]
+fn process_limit_is_part_of_the_outcome_key() {
+    // Both orders on one preset: a cached unlimited report must not
+    // answer a limited request, and a cached rejection must not answer
+    // an unlimited one.
+    let limited = SynthesisRequest::ftqs(4).with_max_processes(10);
+    let unlimited = SynthesisRequest::ftqs(4);
+    for limited_first in [false, true] {
+        let mut service = single_worker_service(8);
+        let order = if limited_first {
+            [limited.clone(), unlimited.clone()]
+        } else {
+            [unlimited.clone(), limited.clone()]
+        };
+        let responses = service.run_batch(vec![
+            preset(0, 9, order[0].clone()),
+            preset(1, 9, order[1].clone()),
+        ]);
+        // One worker answers in submission order.
+        let (limited_response, unlimited_response) = if limited_first {
+            (&responses[0], &responses[1])
+        } else {
+            (&responses[1], &responses[0])
+        };
+        match &limited_response.outcome {
+            Err(ServiceError::Synthesis(e)) => {
+                assert!(e.to_string().contains("15 processes"), "{e}");
+            }
+            other => panic!("limited request must be rejected, got {other:?}"),
+        }
+        assert!(
+            unlimited_response.outcome.is_ok(),
+            "unlimited request succeeds"
+        );
+        assert!(responses.iter().all(|r| !r.cache_hit));
+        assert_eq!(service.shutdown().cache.misses, 2);
+    }
+}
+
+#[test]
+fn a_burst_of_identical_requests_synthesizes_once() {
+    let mut service = Service::start(ServiceConfig {
+        workers: 4,
+        queue_capacity: 64,
+        cache_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    let responses = service.run_batch(
+        (0..32)
+            .map(|id| preset(id, 9, SynthesisRequest::ftqs(4)))
+            .collect(),
+    );
+    assert_eq!(responses.len(), 32);
+    let first = fingerprint(
+        responses[0]
+            .outcome
+            .as_ref()
+            .expect("seed 9 is schedulable"),
+    );
+    for r in &responses {
+        assert_eq!(fingerprint(r.outcome.as_ref().unwrap()), first);
+    }
+    assert_eq!(responses.iter().filter(|r| !r.cache_hit).count(), 1);
+    let stats = service.shutdown();
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 31));
+}
+
+#[test]
+fn an_unschedulable_outcome_is_cached_too() {
+    // fig9 seed 2 at size 15 misses a hard deadline under FTSS.
+    let mut service = single_worker_service(4);
+    let responses = service.run_batch(vec![
+        preset(0, 2, SynthesisRequest::ftqs(4)),
+        preset(1, 2, SynthesisRequest::ftqs(4)),
+    ]);
+    let error = |i: usize| match &responses[i].outcome {
+        Err(e @ ServiceError::Synthesis(_)) => e.to_string(),
+        other => panic!("expected a synthesis error, got {other:?}"),
+    };
+    assert!(error(0).contains("cannot meet deadline"), "{}", error(0));
+    assert_eq!(error(0), error(1));
+    assert!(!responses[0].cache_hit);
+    assert!(responses[1].cache_hit);
+    let stats = service.shutdown();
+    assert_eq!(stats.failed, 2);
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1));
+}
